@@ -119,72 +119,6 @@ def validate_bench_batch(payload: dict) -> None:
         assert row["B"] >= 1, f"row B={row['B']} must be positive"
 
 
-# ---------------------------------------------------------- BENCH_loop.json
-#
-# Schema of the artefact bench_loop_amortization.py writes at the repo root:
-# iterations/sec of the amortized device-resident loop (report_every = K,
-# bulk RNG, hoisted WorkBuffers) against the pre-amortisation baseline
-# (per-step draws, allocate-per-call, report every iteration).
-
-#: top-level keys -> required type
-BENCH_LOOP_SCHEMA: dict[str, type] = {
-    "instance": str,  # TSPLIB/suite instance name
-    "iterations": int,  # iterations per measured run
-    "pheromone": int,  # pheromone strategy version shared by all rows
-    "backend": str,  # backend every row ran on
-    "batch_sizes": list,  # B values covered
-    "report_every": list,  # K values covered (amortized rows)
-    "results": list,  # list of per-(construction, B, K, amortized) rows
-}
-
-#: per-row keys -> required type
-BENCH_LOOP_ROW_SCHEMA: dict[str, type] = {
-    "construction": int,  # construction strategy version
-    "B": int,  # batched colony count
-    "report_every": int,  # K of this row (1 for the baseline)
-    "amortized": bool,  # False = pre-amortisation reference path
-    "seconds": float,  # wall-clock of the run
-    "iters_per_sec": float,  # iterations / seconds
-    "colony_iters_per_sec": float,  # B * iterations / seconds
-    "speedup_vs_baseline": float,  # baseline seconds / this row's seconds
-}
-
-
-def validate_bench_loop(payload: dict) -> None:
-    """Assert ``payload`` matches the BENCH_loop.json schema above."""
-    for key, typ in BENCH_LOOP_SCHEMA.items():
-        assert key in payload, f"BENCH_loop missing key {key!r}"
-        assert isinstance(payload[key], typ), (
-            f"BENCH_loop[{key!r}] should be {typ.__name__}, "
-            f"got {type(payload[key]).__name__}"
-        )
-    assert payload["results"], "BENCH_loop has no result rows"
-    seen_baselines = set()
-    seen_amortized = set()
-    for row in payload["results"]:
-        for key, typ in BENCH_LOOP_ROW_SCHEMA.items():
-            assert key in row, f"BENCH_loop row missing key {key!r}"
-            assert isinstance(row[key], typ), (
-                f"BENCH_loop row[{key!r}] should be {typ.__name__}, "
-                f"got {type(row[key]).__name__}"
-            )
-        assert row["B"] in payload["batch_sizes"], (
-            f"row B={row['B']} absent from batch_sizes"
-        )
-        if row["amortized"]:
-            assert row["report_every"] in payload["report_every"], (
-                f"row K={row['report_every']} absent from report_every"
-            )
-            seen_amortized.add((row["construction"], row["B"]))
-        else:
-            assert row["report_every"] == 1, "baseline rows must use K=1"
-            seen_baselines.add((row["construction"], row["B"]))
-    assert seen_amortized == seen_baselines, (
-        "every (construction, B) point needs both baseline and amortized "
-        f"rows; baselines={sorted(seen_baselines)} amortized={sorted(seen_amortized)}"
-    )
-
-
 # ------------------------------------------------------- BENCH_variant.json
 #
 # Schema of the artefact bench_variant_throughput.py writes at the repo
@@ -378,7 +312,6 @@ def validate_bench_shard(payload: dict) -> None:
 BENCH_ARTIFACTS: dict = {
     "bench_backend_throughput.py": ("BENCH_backend.json", validate_bench_backend),
     "bench_batch_throughput.py": ("BENCH_batch.json", validate_bench_batch),
-    "bench_loop_amortization.py": ("BENCH_loop.json", validate_bench_loop),
     "bench_local_search.py": ("BENCH_ls.json", validate_bench_ls),
     "bench_shard_scaling.py": ("BENCH_shard.json", validate_bench_shard),
     "bench_variant_throughput.py": ("BENCH_variant.json", validate_bench_variant),

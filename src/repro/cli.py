@@ -80,8 +80,8 @@ Examples
     gpu-aco serve --port 8642 --max-batch 8 --max-wait-ms 50
     gpu-aco stats --port 8642 --json
     gpu-aco experiments table2
-    gpu-aco bench loop -- --quick
-    gpu-aco bench --json loop -- --quick
+    gpu-aco bench variant_throughput -- --quick
+    gpu-aco bench --json variant_throughput -- --quick
     gpu-aco bench --list
     gpu-aco lint src benchmarks
     gpu-aco lint --rule lock-discipline --json src
@@ -366,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "name",
         nargs="?",
         default=None,
-        help="benchmark name: 'loop' matches bench_loop_amortization.py; any "
-        "unique substring of a bench_*.py filename works",
+        help="benchmark name: any unique substring of a bench_*.py filename "
+        "works ('variant_throughput' matches bench_variant_throughput.py)",
     )
     bench.add_argument(
         "--list",

@@ -113,17 +113,16 @@ class BatchColonyState:
     c_nn: np.ndarray | None = None
     backend: ArrayBackend = field(default_factory=resolve_backend)
     #: scratch arena hoisting kernel buffers across steps and iterations
-    #: (``None`` = allocate per call, the pre-amortisation behaviour)
-    work: WorkBuffers | None = field(default=None, repr=False)
-    #: pregenerate each iteration's RNG draws in bulk (bit-identical to
-    #: per-step draws; ``False`` is the benchmark baseline mode)
-    bulk_rng: bool = True
+    work: WorkBuffers = field(init=False, repr=False)
     choice_info: np.ndarray | None = None  # (B, n, n), refreshed per iter
     tours: np.ndarray | None = None  # (B, m, n + 1) int32 host, last iteration
     lengths: np.ndarray | None = None  # (B, m) int64 host, last iteration
     iteration: int = 0
     best_tours: np.ndarray | None = field(default=None, repr=False)
     best_lengths: np.ndarray | None = None  # (B,) int64 host
+
+    def __post_init__(self) -> None:
+        self.work = WorkBuffers(self.backend)
 
     @classmethod
     def create(
@@ -420,16 +419,9 @@ class BatchEngine:
         Array backend the batch executes on — a name (``"numpy"``,
         ``"cupy"``), an :class:`~repro.backend.ArrayBackend` instance, or
         ``None`` to resolve ``ACO_BACKEND`` / the numpy default.
-    amortize:
-        Hot-loop amortisation (default on): per-iteration bulk RNG blocks
-        and a per-engine :class:`~repro.backend.WorkBuffers` scratch arena
-        reused across iterations.  Results are bit-identical either way;
-        ``False`` restores the per-step-draw, allocate-per-call behaviour
-        and exists as the measured baseline for
-        ``benchmarks/bench_loop_amortization.py``.
     work:
         An externally owned :class:`~repro.backend.WorkBuffers` arena to
-        reuse instead of allocating a fresh one — the seam that lets a
+        reuse instead of the state's own — the seam that lets a
         long-lived worker (e.g. one solve-service worker thread) amortise
         scratch buffers across *engines*, not just iterations.  Must live
         on the same backend as the engine; buffer keys are geometry-stamped
@@ -447,7 +439,6 @@ class BatchEngine:
         construction_options: dict | None = None,
         pheromone_options: dict | None = None,
         backend: ArrayBackend | str | None = None,
-        amortize: bool = True,
         work: WorkBuffers | None = None,
         variant: str | VariantStrategy = "as",
         variant_options: dict | None = None,
@@ -521,12 +512,7 @@ class BatchEngine:
         self.state = BatchColonyState.create(
             instances, plist, device, backend=self.backend
         )
-        self.amortize = bool(amortize)
         if work is not None:
-            if not self.amortize:
-                raise ACOConfigError(
-                    "a shared WorkBuffers arena requires amortize=True"
-                )
             if work.backend.name != self.backend.name:
                 raise ACOConfigError(
                     f"shared arena lives on backend {work.backend.name!r} but "
@@ -536,11 +522,8 @@ class BatchEngine:
             # hoisted eta^beta); only the shape-checked scratch pool is safe
             # to carry across engines.
             work.reset_derived()
-            self.work = work
-        else:
-            self.work = WorkBuffers(self.backend) if self.amortize else None
-        self.state.work = self.work
-        self.state.bulk_rng = self.amortize
+            self.state.work = work
+        self.work = self.state.work
         # Variant state (pheromone re-init, trail limits, ACS tau0) installs
         # on the fresh batch state; the RNG layout is the variant's choice
         # policy's to define (AS/MMAS delegate to the construction family).
@@ -658,7 +641,7 @@ class BatchEngine:
         bs.best_tours = self.backend.to_host(self._fold_tours).copy()
 
     def _fold_best(self, tours, lengths) -> IterationContext:
-        """Fold this iteration's results into the best-so-far records.
+        """Fold this iteration's results into new best-so-far records.
 
         Runs on the backend with the strict-improvement / first-argmin rule
         ``record_tours`` applies on the host, so the fold is bit-identical
@@ -666,7 +649,9 @@ class BatchEngine:
         :class:`~repro.core.variant.IterationContext` is what best-so-far
         update policies (ACS global-best, MMAS schedules) consume — the
         records already include the current iteration, exactly as the solo
-        loops see them after ``record_tours``.
+        loops see them after ``record_tours``.  They are fresh arrays: the
+        engine's fold only adopts them once the iteration completes
+        (:meth:`_step`), so an interrupted iteration never leaks into it.
         """
         # lint: hot-region
         bs = self.state
@@ -676,16 +661,14 @@ class BatchEngine:
         ib = xp.argmin(lengths, axis=1)
         vals = lengths[rows, ib]
         improved = vals < self._fold_len
-        imp = xp.nonzero(improved)[0]
-        if imp.size:
-            self._fold_len[imp] = vals[imp]
-            self._fold_tours[imp] = tours[imp, ib[imp]]
         return IterationContext(
             iteration=bs.iteration,
             it_best=ib,
             it_best_lengths=vals,
-            best_lengths=self._fold_len,
-            best_tours=self._fold_tours,
+            best_lengths=xp.where(improved, vals, self._fold_len),
+            best_tours=xp.where(
+                improved[:, None], tours[rows, ib], self._fold_tours
+            ),
             improved=improved,
         )
 
@@ -715,9 +698,7 @@ class BatchEngine:
         )
         t1 = perf_counter()
         clock.add("construct", t0, t1, labels["construct"])
-        lengths = tour_lengths_batch(
-            tours, bs.dist, xp=self.backend.xp, work=self.work
-        )
+        lengths = tour_lengths_batch(tours, bs.dist, self.work)
         ctx = self._fold_best(tours, lengths)
         t2 = perf_counter()
         clock.add("fold", t1, t2)
@@ -747,7 +728,7 @@ class BatchEngine:
     ) -> IterationContext:
         """Boundary-time polish of the selected per-row tours.
 
-        Improvements fold into the backend-resident best-so-far records
+        Improvements fold into the iteration's best-so-far records
         (strict improvement, like :meth:`_fold_best`); for the
         ``iteration-best`` target the polished tours also replace the
         winning ants' rows in place, so iteration-best deposits (AS
@@ -758,21 +739,16 @@ class BatchEngine:
         bs = self.state
         xp = self.backend.xp
         policy = self.variant.local
-        assert self._fold_len is not None and self._fold_tours is not None
         it_best_lengths = ctx.it_best_lengths
         if policy.target == "best-so-far":
-            res = policy.improve(bs, self._fold_tours, self._fold_len)
+            res = policy.improve(bs, ctx.best_tours, ctx.best_lengths)
         else:
             rows = xp.arange(bs.B)
             res = policy.improve(bs, tours[rows, ctx.it_best], ctx.it_best_lengths)
             tours[rows, ctx.it_best] = res.tours
             lengths[rows, ctx.it_best] = res.lengths
             it_best_lengths = res.lengths
-        better = res.lengths < self._fold_len
-        imp = xp.nonzero(better)[0]
-        if imp.size:
-            self._fold_len[imp] = res.lengths[imp]
-            self._fold_tours[imp] = res.tours[imp]
+        better = res.lengths < ctx.best_lengths
         ex = self.backend.to_host(res.exchanges)
         gain = self.backend.to_host(res.initial_lengths - res.lengths)
         self._ls_last = (ex, gain)
@@ -783,8 +759,8 @@ class BatchEngine:
             iteration=ctx.iteration,
             it_best=ctx.it_best,
             it_best_lengths=it_best_lengths,
-            best_lengths=self._fold_len,
-            best_tours=self._fold_tours,
+            best_lengths=xp.where(better, res.lengths, ctx.best_lengths),
+            best_tours=xp.where(better[:, None], res.tours, ctx.best_tours),
             improved=ctx.improved | better,
         )
 
@@ -796,22 +772,33 @@ class BatchEngine:
         ex, gain = self._ls_last
         return {"ls_exchanges": int(ex[b]), "ls_gain": int(gain[b])}
 
-    def run_iteration(self) -> list[IterationReport]:
-        """One full variant iteration for every colony; one report per row.
+    def _step(self, boundary: bool, block: list):
+        """One iteration: the body of :meth:`run`'s loop and of
+        :meth:`run_iteration`.
 
-        Every stage runs on ``self.backend``; tours and lengths cross to the
-        host exactly once, at the end of the iteration, for bookkeeping and
-        the per-colony reports (a no-copy pass-through on numpy).
+        Advances every colony, then commits the completed iteration: its
+        best-so-far fold becomes the engine's, its ``(B,)`` iteration-best
+        lengths join ``block`` (backend-resident until the next boundary)
+        and the iteration count ticks.  Nothing is committed mid-iteration,
+        so an interrupt leaves the records of the last completed one.
+
+        At a ``boundary``, tours, lengths, the fold and ``block`` cross to
+        the host; returns ``(reports, block_bests)`` — one report per row
+        and the ``(len(block), B)`` host iteration-best lengths, after
+        which ``block`` is empty.  Returns ``None`` between boundaries.
         """
         bs = self.state
-        if self._fold_len is None:
-            self._seed_fold()
-        tours, lengths, _, stages = self._advance(collect=True)
+        tours, lengths, ctx, stages = self._advance(collect=boundary)
+        block.append(ctx.it_best_lengths)
+        self._fold_len, self._fold_tours = ctx.best_lengths, ctx.best_tours
+        bs.iteration += 1
+        if not boundary:
+            return None
         t0 = perf_counter()
         bs.tours = self.backend.to_host(tours)
         bs.lengths = self.backend.to_host(lengths)
         self._sync_fold_host()
-        bs.iteration += 1
+        block_bests = self._drain_block(block)
         reports = [
             IterationReport(
                 iteration=bs.iteration,
@@ -823,6 +810,26 @@ class BatchEngine:
             for b in range(bs.B)
         ]
         self.phase_clock.add("host-sync", t0, perf_counter())
+        return reports, block_bests
+
+    def _drain_block(self, block: list) -> np.ndarray:
+        """Host ``(len(block), B)`` copy of the pending iteration-best
+        lengths; empties ``block``."""
+        host = self.backend.to_host(self.backend.xp.stack(block))
+        block.clear()
+        return host
+
+    def run_iteration(self) -> list[IterationReport]:
+        """One full variant iteration for every colony; one report per row.
+
+        A single :meth:`_step` at a boundary: every stage runs on
+        ``self.backend``, and tours and lengths cross to the host exactly
+        once, at the end of the iteration (a no-copy pass-through on
+        numpy).
+        """
+        if self._fold_len is None:
+            self._seed_fold()
+        reports, _ = self._step(True, [])
         return reports
 
     def run(
@@ -841,8 +848,8 @@ class BatchEngine:
         records folded on the backend in between.  The best tour, best
         length, per-iteration best lengths and the final pheromone stack
         are bit-identical for every K; only the ``reports`` lists thin out
-        (boundary iterations only).  ``K=1`` (the default) is the classic
-        report-every-iteration loop.
+        (boundary iterations only).  ``K=1`` (the default) is the same loop
+        with a boundary every iteration.
 
         ``on_boundary`` is called at every report boundary (so every K-th
         iteration and the last) with a :class:`BoundaryUpdate` snapshot —
@@ -882,27 +889,36 @@ class BatchEngine:
         self._phase_mark = self.phase_clock.mark()
         reports: list[list[IterationReport]] = [[] for _ in range(bs.B)]
         bests: list[list[int]] = [[] for _ in range(bs.B)]
+        block: list = []  # iteration-best lengths not yet on the host
+
+        def extend_bests(block_bests: np.ndarray) -> None:
+            for row, vals in zip(bests, block_bests.T.tolist()):
+                row.extend(vals)
+
         stopped_early = False
         clock = WallClock()
         try:
             with clock:
-                if report_every == 1:
-                    for it in range(iterations):
-                        for b, rep in enumerate(self.run_iteration()):
-                            reports[b].append(rep)
-                            bests[b].append(rep.best_length)
-                        phase_seconds = self.phase_clock.flush_block()
-                        if self._boundary_hook(
-                            on_boundary, targets, phase_seconds
-                        ):
-                            stopped_early = it + 1 < iterations
-                            break
-                else:
-                    stopped_early = self._run_amortized(
-                        iterations, report_every, reports, bests,
-                        on_boundary, targets,
-                    )
+                for it in range(iterations):
+                    boundary = (it + 1) % report_every == 0 or it + 1 == iterations
+                    step = self._step(boundary, block)
+                    if step is None:
+                        continue
+                    step_reports, block_bests = step
+                    for b, rep in enumerate(step_reports):
+                        reports[b].append(rep)
+                    extend_bests(block_bests)
+                    phase_seconds = self.phase_clock.flush_block()
+                    if self._boundary_hook(on_boundary, targets, phase_seconds):
+                        stopped_early = it + 1 < iterations
+                        break
         except KeyboardInterrupt:
+            if bs.iteration > start_iteration:
+                # Salvage up to the last completed iteration: the fold and
+                # ``block`` hold exactly the committed ones.
+                self._sync_fold_host()
+                if block:
+                    extend_bests(self._drain_block(block))
             if bs.best_lengths is None:
                 raise  # nothing completed; keep the plain Ctrl-C semantics
             partial = self._collect_results(
@@ -988,72 +1004,3 @@ class BatchEngine:
         if targets is not None and bool(np.all(bs.best_lengths <= targets)):
             stop = True
         return stop
-
-    def _run_amortized(
-        self,
-        iterations: int,
-        report_every: int,
-        reports: list[list[IterationReport]],
-        bests: list[list[int]],
-        on_boundary=None,
-        targets=None,
-    ) -> bool:
-        """The device-resident ``report_every=K`` loop body.
-
-        Best-so-far records are folded on the backend every iteration by
-        :meth:`_fold_best` (the same first-argmin/strict-improvement rule
-        ``record_tours`` applies on the host, so the fold is bit-identical
-        to K=1); host transfer and report materialization happen only at
-        K-boundaries and at the final iteration.  Returns ``True`` when a
-        boundary hook or target stop ended the loop early.  A Ctrl-C
-        mid-block syncs the backend-resident fold to the host before
-        re-raising, so the interrupt path reports bests up to the last
-        *completed* iteration, not the last boundary.
-        """
-        bs = self.state
-        xp = self.backend.xp
-        block_vals: list = []  # per-iteration (B,) iteration-best lengths
-
-        def _sync_fold() -> None:
-            """Host-sync the fold (best records + pending block bests)."""
-            assert self._fold_len is not None
-            if not bool(xp.all(self._fold_len < np.iinfo(np.int64).max)):
-                return  # no iteration completed yet; nothing to salvage
-            self._sync_fold_host()
-            if block_vals:
-                host_vals = self.backend.to_host(xp.stack(block_vals))
-                block_vals.clear()
-                for b in range(bs.B):
-                    bests[b].extend(int(v) for v in host_vals[:, b])
-
-        try:
-            for it in range(iterations):
-                boundary = ((it + 1) % report_every == 0) or (it + 1 == iterations)
-                tours, lengths, ctx, stages = self._advance(collect=boundary)
-                block_vals.append(ctx.it_best_lengths)
-                bs.iteration += 1
-                if boundary:
-                    t0 = perf_counter()
-                    host_tours = self.backend.to_host(tours)
-                    host_lengths = self.backend.to_host(lengths)
-                    bs.tours = host_tours
-                    bs.lengths = host_lengths
-                    _sync_fold()
-                    for b in range(bs.B):
-                        reports[b].append(
-                            IterationReport(
-                                iteration=bs.iteration,
-                                tours=host_tours[b],
-                                lengths=host_lengths[b],
-                                stages=stages[b],
-                                **self._ls_fields(b),
-                            )
-                        )
-                    self.phase_clock.add("host-sync", t0, perf_counter())
-                    phase_seconds = self.phase_clock.flush_block()
-                    if self._boundary_hook(on_boundary, targets, phase_seconds):
-                        return it + 1 < iterations
-        except KeyboardInterrupt:
-            _sync_fold()
-            raise
-        return False

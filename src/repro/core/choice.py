@@ -81,21 +81,6 @@ class ChoiceKernel(Kernel):
 
     def __init__(self, block: int = 256) -> None:
         self.block = int(block)
-        # Reused (B?, n, n) output buffer: choice_info is rebound every
-        # iteration and nothing retains the previous matrix, so recycling
-        # the allocation removes an n² (or B·n²) alloc per iteration.  When
-        # the owning engine carries a WorkBuffers arena the buffer lives
-        # there instead (one amortisation home per engine).
-        self._buf = None
-        self._buf_xp = None
-
-    def _buffer(self, shape: tuple, xp, work=None):
-        if work is not None:
-            return work.get("choice.out", shape, np.float64)
-        if self._buf is None or self._buf.shape != shape or self._buf_xp is not xp:
-            self._buf = xp.empty(shape, dtype=np.float64)
-            self._buf_xp = xp
-        return self._buf
 
     def launch_config(self, device: DeviceSpec, *, n: int) -> LaunchConfig:
         block = min(self.block, device.max_threads_per_block)
@@ -113,7 +98,10 @@ class ChoiceKernel(Kernel):
             params.alpha,
             params.beta,
             xp=xp,
-            out=self._buffer((state.n, state.n), xp, work=state.work),
+            # Reused output buffer: choice_info is rebound every iteration
+            # and nothing retains the previous matrix, so recycling the
+            # allocation removes an n² alloc per iteration.
+            out=state.work.get("choice.out", (state.n, state.n), np.float64),
         )
         diag = xp.arange(state.n)
         choice[diag, diag] = 0.0
@@ -133,7 +121,7 @@ class ChoiceKernel(Kernel):
         xp = bstate.backend.xp
         wb = bstate.work
         eta_pow = None
-        if wb is not None and not bool((bstate.beta == 1.0).all()):
+        if not bool((bstate.beta == 1.0).all()):
             eta_pow = wb.cached(
                 f"choice.eta_pow.{bstate.B}x{bstate.n}",
                 lambda: xp.power(bstate.eta, bstate.beta[:, None, None]),
@@ -144,13 +132,10 @@ class ChoiceKernel(Kernel):
             bstate.alpha,
             bstate.beta,
             xp=xp,
-            out=self._buffer((bstate.B, bstate.n, bstate.n), xp, work=wb),
+            out=wb.get("choice.out", (bstate.B, bstate.n, bstate.n), np.float64),
             eta_pow=eta_pow,
         )
-        if wb is not None:
-            diag = wb.cached(f"choice.diag.{bstate.n}", lambda: xp.arange(bstate.n))
-        else:
-            diag = xp.arange(bstate.n)
+        diag = wb.cached(f"choice.diag.{bstate.n}", lambda: xp.arange(bstate.n))
         choice[:, diag, diag] = 0.0
         bstate.choice_info = choice
 

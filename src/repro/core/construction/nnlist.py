@@ -137,9 +137,7 @@ class NNListConstruction(TourConstruction):
         assert state.choice_info is not None
         tours, fallbacks = construct_exact(
             state.choice_info, state.nn_list, rng, state.m, state.n,
-            xp=state.backend.xp,
             work=state.work,
-            bulk_rng=state.bulk_rng,
         )
         stats, launch = self.predict_stats(
             state.n, state.m, state.nn, state.device, fallback_steps=fallbacks
@@ -168,9 +166,7 @@ class NNListConstruction(TourConstruction):
             B,
             m,
             n,
-            xp=bstate.backend.xp,
             work=bstate.work,
-            bulk_rng=bstate.bulk_rng,
         )
         return BatchConstructionResult(
             tours=tours,

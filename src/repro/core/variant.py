@@ -232,7 +232,7 @@ class PseudoProportionalChoice(ChoicePolicy):
         return max(2 * m, 2)
 
     def build_batch(self, bstate, construction, choice_kernel, rng, collect: bool):
-        from repro.rng.streams import make_draws
+        from repro.rng.streams import BlockedDraws
 
         # The Choice kernel serves ACS too: choice_info is tau^alpha *
         # eta^beta at iteration start (local updates mutate tau but never
@@ -253,13 +253,9 @@ class PseudoProportionalChoice(ChoicePolicy):
         assert self.tau0 is not None
 
         def _buf(key: str, shape, dtype):
-            if wb is None:
-                return xp.empty(shape, dtype=dtype)
             return wb.get("acs." + key, shape, dtype)
 
         def _const(key: str, builder):
-            if wb is None:
-                return builder()
             return wb.cached(f"acs.{key}.{B}x{m}x{n}", builder)
 
         # Flattened mega-colony layout (as in the data-parallel kernels):
@@ -279,14 +275,14 @@ class PseudoProportionalChoice(ChoicePolicy):
         w = _buf("w", (M, n), np.float64)
         cum = _buf("cum", (M, n), np.float64)
         rows_idx = _buf("rows_idx", (M,), np.int64)
-        take_kw = {"mode": "clip"} if xp is np and wb is not None else {}
+        take_kw = {"mode": "clip"} if xp is np else {}
 
         q0, xi = self.acs.q0, self.acs.xi
         nn2 = n * n
 
         # One (B * S,) draw vector per step plus the placement draw — the
         # exact per-step lockstep of the solo loop, pregenerated in bulk.
-        draws = make_draws(rng, n, bulk=bstate.bulk_rng, work=wb, key="acs.rng")
+        draws = BlockedDraws(rng, n, work=wb, key="acs.rng")
         u = draws.next().reshape(B, S)
         start = xp.minimum((u[:, :m] * n).astype(np.int64), n - 1).reshape(M)
         tours[:, 0] = start
@@ -695,7 +691,6 @@ class BatchedTwoOpt(LocalSearchPolicy):
             nn_list=bstate.nn_list,
             lengths=lengths,
             max_passes=self.passes,
-            xp=bstate.backend.xp,
             work=bstate.work,
         )
 

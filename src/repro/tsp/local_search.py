@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend import WorkBuffers
 from repro.errors import ACOConfigError, InvalidTourError
 from repro.tsp.tour import tour_length, validate_tour
 
@@ -201,6 +202,7 @@ def two_opt(
             nn_list=np.asarray(nn_list, dtype=np.int32)[None],
             max_passes=max_passes,
             min_gain=min_gain,
+            work=WorkBuffers("numpy"),
         )
         return TwoOptResult(
             tour=res.tours[0],
@@ -288,8 +290,7 @@ def two_opt_batch(
     lengths: np.ndarray | None = None,
     max_passes: int | None = None,
     min_gain: float = 0.5,
-    xp=np,
-    work=None,
+    work,
 ) -> BatchTwoOptResult:
     """Batched nn-restricted best-improvement 2-opt over ``B`` tours.
 
@@ -320,9 +321,10 @@ def two_opt_batch(
         Optional cap on lockstep passes (``0`` returns the input untouched).
     min_gain:
         As in :func:`two_opt`.
-    xp / work:
-        Array module and optional :class:`~repro.backend.WorkBuffers`
-        arena (keys namespaced ``ls.*``) — the engine's backend seam.
+    work:
+        :class:`~repro.backend.WorkBuffers` arena (keys namespaced
+        ``ls.*``); its backend is the array module the search runs on —
+        the engine's backend seam.
 
     Returns
     -------
@@ -331,6 +333,7 @@ def two_opt_batch(
         row, ``passes`` counts lockstep rounds (the max over rows).
     """
     t_start = time.perf_counter()
+    xp = work.backend.xp
     if tours.ndim != 2:
         raise InvalidTourError(f"tours must be (B, n + 1), got shape {tours.shape}")
     B, n1 = tours.shape
@@ -342,8 +345,6 @@ def two_opt_batch(
     dflat = dist.reshape(B, n * n)
 
     def _buf(key: str, shape, dtype):
-        if work is None:
-            return xp.empty(shape, dtype=dtype)
         return work.get("ls." + key, shape, dtype)
 
     body = _buf("body", (B, n), np.int64)

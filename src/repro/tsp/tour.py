@@ -75,29 +75,20 @@ def tour_lengths(tours: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return dist[t[:, :-1], t[:, 1:]].sum(axis=1)
 
 
-def tour_lengths_batch(
-    tours: np.ndarray, dist: np.ndarray, xp=np, work=None
-) -> np.ndarray:
+def tour_lengths_batch(tours: np.ndarray, dist: np.ndarray, work) -> np.ndarray:
     """Lengths of ``(B, m, n + 1)`` closed tours under ``(B, n, n)`` distances.
 
     ``dist`` may be a broadcast view with a length-1 batch axis (replicas of
     one instance); row ``b`` equals ``tour_lengths(tours[b], dist[b])``.
-    ``xp`` selects the array module when tours/distances live on a non-numpy
-    backend (integer sums, so every backend returns identical values — and
-    integer addition is exact, so the two gather spellings below cannot
-    diverge either).
 
-    ``work`` optionally supplies a :class:`~repro.backend.WorkBuffers`
-    arena: the int64 tour copy and the flat edge-index scratch are then
-    hoisted across iterations instead of reallocated per call.  The returned
-    lengths array is always freshly allocated (it escapes into reports).
+    ``work`` is a :class:`~repro.backend.WorkBuffers` arena on the backend
+    the tours and distances live on (integer sums, so every backend returns
+    identical values): the int64 tour copy and the flat edge-index scratch
+    are hoisted across iterations instead of reallocated per call.  The
+    returned lengths array is always freshly allocated (it escapes into
+    reports).
     """
-    if work is None:
-        t = xp.asarray(tours, dtype=np.int64)
-        if t.ndim != 3:
-            raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {t.shape}")
-        b_idx = xp.arange(t.shape[0])[:, None, None]
-        return dist[b_idx, t[:, :, :-1], t[:, :, 1:]].sum(axis=2)
+    xp = work.backend.xp
     if tours.ndim != 3:
         raise InvalidTourError(f"tours must be (B, m, n + 1), got shape {tours.shape}")
     B, m, n1 = tours.shape

@@ -9,7 +9,7 @@ import pytest
 from repro.backend import WorkBuffers, resolve_backend
 from repro.core import ACOParams, AntSystem, BatchEngine
 from repro.core.batch import BoundaryUpdate
-from repro.errors import ACOConfigError, RunInterrupted
+from repro.errors import RunInterrupted
 from repro.tsp import uniform_instance
 
 ITERATIONS = 6
@@ -149,6 +149,45 @@ class TestInterruptSalvage:
             assert a.iteration_best_lengths == b.iteration_best_lengths
             np.testing.assert_array_equal(a.best_tour, b.best_tour)
 
+    @pytest.mark.parametrize("report_every", [1, 2, 5])
+    def test_interrupt_mid_iteration_reports_completed_only(
+        self, report_every, monkeypatch
+    ):
+        """A Ctrl-C landing after the best-so-far fold but before the
+        iteration ends (here: inside the pheromone update) must not leak
+        that unfinished iteration's best into the partial result."""
+
+        def make():
+            return BatchEngine(
+                uniform_instance(40, seed=7),
+                [ACOParams(seed=s, nn=7) for s in range(1, 41)],
+            )
+
+        engine = make()
+        update = engine.variant.update
+        original = update.update_batch
+        calls = []
+
+        def tripwire(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(update, "update_batch", tripwire)
+        with pytest.raises(RunInterrupted) as err:
+            engine.run(10, report_every=report_every)
+        partial = err.value.partial
+        assert partial.iterations_run == 3
+        for row in partial.results:
+            assert len(row.iteration_best_lengths) == partial.iterations_run
+            assert row.best_length == min(row.iteration_best_lengths)
+        # The salvage equals an uninterrupted run of the completed length.
+        reference = make().run(3)
+        for a, b in zip(partial.results, reference.results):
+            assert a.iteration_best_lengths == b.iteration_best_lengths
+            np.testing.assert_array_equal(a.best_tour, b.best_tour)
+
     def test_run_interrupted_is_a_keyboard_interrupt(self):
         # The CLI contract: naive `except KeyboardInterrupt` still works,
         # and `except Exception` does NOT swallow it.
@@ -160,9 +199,9 @@ class TestInterruptSalvage:
 
         for cls in (AntColonySystem, MaxMinAntSystem):
             colony = cls(instance, ACOParams(seed=2, nn=7))
-            # The views run through their engine's K=1 loop; trip the
-            # interrupt on the engine's third iteration.
-            original = colony.engine.run_iteration
+            # The views run through their engine's loop; trip the
+            # interrupt at the start of the engine's third iteration.
+            original = colony.engine._advance
             calls = []
 
             def tripwire(*a, _original=original, _calls=calls, **kw):
@@ -171,7 +210,7 @@ class TestInterruptSalvage:
                 _calls.append(1)
                 return _original(*a, **kw)
 
-            monkeypatch.setattr(colony.engine, "run_iteration", tripwire)
+            monkeypatch.setattr(colony.engine, "_advance", tripwire)
             with pytest.raises(RunInterrupted) as err:
                 colony.run(50)
             partial = err.value.partial
@@ -276,10 +315,6 @@ class TestSharedWorkArena:
         reused = BatchEngine(small, ACOParams(seed=1, nn=5), work=arena).run(2)
         fresh = BatchEngine(small, ACOParams(seed=1, nn=5)).run(2)
         assert reused.best_lengths.tolist() == fresh.best_lengths.tolist()
-
-    def test_arena_requires_amortize(self, instance):
-        with pytest.raises(ACOConfigError, match="amortize"):
-            BatchEngine(instance, work=WorkBuffers(), amortize=False)
 
     def test_reset_derived_keeps_scratch(self):
         arena = WorkBuffers()

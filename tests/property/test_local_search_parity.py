@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backend import WorkBuffers
 from repro.core import ACOParams, BatchEngine
 from repro.tsp import uniform_instance
 from repro.tsp.local_search import two_opt, two_opt_batch
@@ -48,7 +49,9 @@ class TestKernelParity:
     @pytest.mark.parametrize("max_passes", [None, 2])
     def test_batch_rows_bit_identical_to_solo(self, B, max_passes):
         tours, dists, nns = _rows(B, 15, seed=7)
-        res = two_opt_batch(tours, dists, nn_list=nns, max_passes=max_passes)
+        res = two_opt_batch(
+            tours, dists, nn_list=nns, max_passes=max_passes, work=WorkBuffers()
+        )
         for b in range(B):
             solo = two_opt(
                 tours[b], dists[b], nn_list=nns[b], max_passes=max_passes
@@ -69,6 +72,7 @@ class TestKernelParity:
             tours,
             np.broadcast_to(d, (4,) + d.shape),
             nn_list=np.broadcast_to(nn, (4,) + nn.shape),
+            work=WorkBuffers(),
         )
         for b in range(4):
             solo = two_opt(tours[b], d, nn_list=nn)

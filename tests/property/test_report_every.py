@@ -5,9 +5,8 @@ tour, best length, per-iteration best lengths and final pheromone stack as
 ``report_every=1``, for every construction kernel (1-8) x every pheromone
 strategy (1-5).  Between K-boundaries the loop keeps tours, lengths and the
 best-so-far record backend-resident, so this suite is what licenses raising
-K without any numerical caveat.  The pre-amortisation baseline mode
-(``amortize=False``) must match too — bulk RNG and buffer hoisting are pure
-execution strategies.
+K without any numerical caveat.  Stepping the engine with ``run_iteration()``
+must match too: it is a one-iteration call into the same loop body.
 """
 
 from __future__ import annotations
@@ -21,7 +20,9 @@ from repro.tsp import uniform_instance
 
 ITERATIONS = 5
 #: K=3 exercises interior boundaries plus the forced final-iteration one
-#: (5 % 3 != 0); K=50 exercises the single-boundary whole-run case.
+#: (5 % 3 != 0); K=50 exercises the single-boundary whole-run case;
+#: "step" drives ITERATIONS run_iteration() calls.
+MODES = (3, 50, "step")
 SEEDS = [11, 19]
 
 
@@ -46,18 +47,29 @@ def _engine(instance, construction, pheromone, **kwargs):
 def test_report_every_bit_identical(instance, construction, pheromone):
     ref_engine = _engine(instance, construction, pheromone)
     ref = ref_engine.run(ITERATIONS, report_every=1)
-    for K in (3, 50):
+    for mode in MODES:
         engine = _engine(instance, construction, pheromone)
-        got = engine.run(ITERATIONS, report_every=K)
-        for b in range(len(SEEDS)):
-            assert got.results[b].best_length == ref.results[b].best_length
-            np.testing.assert_array_equal(
-                got.results[b].best_tour, ref.results[b].best_tour
-            )
-            assert (
-                got.results[b].iteration_best_lengths
-                == ref.results[b].iteration_best_lengths
-            )
+        if mode == "step":
+            steps = [engine.run_iteration() for _ in range(ITERATIONS)]
+            for b in range(len(SEEDS)):
+                assert engine.state.best_lengths[b] == ref.results[b].best_length
+                np.testing.assert_array_equal(
+                    engine.state.best_tours[b], ref.results[b].best_tour
+                )
+                assert [
+                    rep[b].best_length for rep in steps
+                ] == ref.results[b].iteration_best_lengths
+        else:
+            got = engine.run(ITERATIONS, report_every=mode)
+            for b in range(len(SEEDS)):
+                assert got.results[b].best_length == ref.results[b].best_length
+                np.testing.assert_array_equal(
+                    got.results[b].best_tour, ref.results[b].best_tour
+                )
+                assert (
+                    got.results[b].iteration_best_lengths
+                    == ref.results[b].iteration_best_lengths
+                )
         np.testing.assert_array_equal(
             engine.state.pheromone, ref_engine.state.pheromone
         )
@@ -89,21 +101,6 @@ def test_report_every_resumes_across_runs(instance):
     np.testing.assert_array_equal(
         first.results[0].best_tour, second.results[0].best_tour
     )
-
-
-def test_amortize_off_bit_identical(instance):
-    """The pre-amortisation baseline mode reproduces the amortized results."""
-    fast = _engine(instance, 4, 2)
-    slow = _engine(instance, 4, 2, amortize=False)
-    rf = fast.run(4)
-    rs = slow.run(4)
-    assert slow.work is None and slow.state.bulk_rng is False
-    for b in range(len(SEEDS)):
-        assert rf.results[b].best_length == rs.results[b].best_length
-        np.testing.assert_array_equal(
-            rf.results[b].best_tour, rs.results[b].best_tour
-        )
-    np.testing.assert_array_equal(fast.state.pheromone, slow.state.pheromone)
 
 
 def test_antsystem_report_every(instance):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import WorkBuffers
 from repro.tsp.generator import uniform_instance
 from repro.tsp.local_search import (
     BatchTwoOptResult,
@@ -140,7 +141,9 @@ class TestEdgeCases:
         res = two_opt(t, d)
         assert res.exchanges == 0 and res.length == res.initial_length
         nn = np.argsort(d, axis=1)[:, 1:3].astype(np.int32)
-        bres = two_opt_batch(t[None], d[None], nn_list=nn[None])
+        bres = two_opt_batch(
+            t[None], d[None], nn_list=nn[None], work=WorkBuffers()
+        )
         assert int(bres.exchanges[0]) == 0
         np.testing.assert_array_equal(bres.tours[0], t)
 
@@ -149,7 +152,9 @@ class TestEdgeCases:
         nn = np.argsort(_SQUARE, axis=1)[:, 1:4].astype(np.int32)
         res = two_opt(good, _SQUARE, nn_list=nn)
         assert res.exchanges == 0 and res.length == 4
-        bres = two_opt_batch(good[None], _SQUARE[None], nn_list=nn[None])
+        bres = two_opt_batch(
+            good[None], _SQUARE[None], nn_list=nn[None], work=WorkBuffers()
+        )
         assert int(bres.lengths[0]) == 4 and int(bres.exchanges[0]) == 0
 
     def test_max_passes_zero_returns_input(self):
@@ -163,7 +168,9 @@ class TestEdgeCases:
         ):
             assert res.exchanges == 0
             np.testing.assert_array_equal(res.tour, t)
-        bres = two_opt_batch(t[None], d[None], nn_list=nn[None], max_passes=0)
+        bres = two_opt_batch(
+            t[None], d[None], nn_list=nn[None], max_passes=0, work=WorkBuffers()
+        )
         np.testing.assert_array_equal(bres.tours[0], t)
 
     def test_full_width_nn_matches_full_matrix(self):
@@ -182,7 +189,9 @@ class TestEdgeCases:
         d = inst.distance_matrix()
         t = random_tour(20, np.random.default_rng(12))
         assert two_opt(t, d).wall_seconds >= 0.0
-        bres = two_opt_batch(t[None], d[None], nn_list=inst.nn_lists(7)[None])
+        bres = two_opt_batch(
+            t[None], d[None], nn_list=inst.nn_lists(7)[None], work=WorkBuffers()
+        )
         assert isinstance(bres, BatchTwoOptResult)
         assert bres.wall_seconds >= 0.0
         assert int(bres.improvement[0]) >= 0
@@ -192,7 +201,9 @@ class TestBatchKernel:
     def test_batch_uncrosses_square(self):
         crossed = np.array([0, 2, 1, 3, 0], dtype=np.int32)
         nn = np.argsort(_SQUARE, axis=1)[:, 1:4].astype(np.int32)
-        res = two_opt_batch(crossed[None], _SQUARE[None], nn_list=nn[None])
+        res = two_opt_batch(
+            crossed[None], _SQUARE[None], nn_list=nn[None], work=WorkBuffers()
+        )
         assert int(res.lengths[0]) == 4
         validate_tour(res.tours[0], 4)
         assert int(res.exchanges[0]) >= 1
@@ -208,6 +219,7 @@ class TestBatchKernel:
             tours,
             np.broadcast_to(d, (B,) + d.shape),
             nn_list=np.broadcast_to(nn, (B,) + nn.shape),
+            work=WorkBuffers(),
         )
         for b in range(B):
             validate_tour(res.tours[b], 22)
